@@ -527,4 +527,50 @@ mod tests {
         // And the tree does no more touching than the vector.
         assert!(m_tc.ds_work() <= m_vc.ds_work());
     }
+
+    /// The wide lock-heavy workload (256 threads, 32 locks, 15% sync):
+    /// the dense regime where the timed tree clock takes its flat fast
+    /// paths.
+    fn wide_trace() -> tc_trace::Trace {
+        tc_trace::gen::WorkloadSpec {
+            threads: 256,
+            locks: 32,
+            events: 20_000,
+            sync_ratio: 0.15,
+            seed: 12,
+            ..tc_trace::gen::WorkloadSpec::default()
+        }
+        .generate()
+    }
+
+    /// Characterisation: the counted tree-clock run is Algorithm 2
+    /// verbatim, so its work figures on a fixed trace are pinned
+    /// exactly. Any change to them is a change to the algorithm, not to
+    /// the timed fast paths.
+    #[test]
+    fn counted_tree_run_is_pinned_on_wide_workload() {
+        let trace = wide_trace();
+        let m = HbEngine::<TreeClock>::run_counted(&trace);
+        assert_eq!(
+            (m.joins, m.copies, m.vt_work(), m.ds_work()),
+            (2221, 2253, 258_468, 330_663)
+        );
+        assert_eq!(
+            m.vt_work(),
+            HbEngine::<VectorClock>::run_counted(&trace).vt_work()
+        );
+    }
+
+    /// The timed paths of all three backends agree event by event on
+    /// the same wide trace.
+    #[test]
+    fn timed_backends_agree_on_wide_workload() {
+        let trace = wide_trace();
+        let tree = HbEngine::<TreeClock>::collect_timestamps(&trace);
+        assert_eq!(tree, HbEngine::<VectorClock>::collect_timestamps(&trace));
+        assert_eq!(
+            tree,
+            HbEngine::<tc_core::HybridClock>::collect_timestamps(&trace)
+        );
+    }
 }
