@@ -74,10 +74,10 @@
 //! While flat, the uncounted join is a pure pointwise-maximum sweep;
 //! every `PROBE_PERIOD`-th join (and copy-from-self) runs a
 //! *branchless* counting sweep instead to keep the window fed — so a
-//! workload turning sparse flips the clock back to tree, with an
-//! O(present) star re-materialization ([`TreeClock`]'s own dense fast
-//! path produces the same shape, sound for both monotonicity
-//! principles).
+//! workload turning sparse flips the clock back to tree as a lazy star
+//! ([`TreeClock`]'s own dense fast path produces the same shape, sound
+//! for both monotonicity principles; its links are written only when a
+//! surgical operation needs them).
 //!
 //! # The dense cutoff
 //!
@@ -640,9 +640,9 @@ impl HybridClock {
         self.flips_to_flat += 1;
     }
 
-    /// Flat→tree: re-materializes the tree as the star shape (every
+    /// Flat→tree: re-materializes the tree as the lazy star (every
     /// known thread directly under the root at the root's current time
-    /// — link work O(present); see [`TreeClock::adopt_flat`]). A
+    /// — one times copy, no link work; see [`TreeClock::adopt_flat`]). A
     /// rootless clock stays flat: there is no thread to hang the star
     /// under (never the case for the thread clocks that carry windows).
     fn flip_to_tree(&mut self) {
@@ -728,7 +728,7 @@ impl HybridClock {
             self.observe_mut(0, arena);
             return stats;
         }
-        let changed = self.tree.flat_join_slice(src, z);
+        let changed = self.tree.flat_join::<true>(src, z);
         self.observe_mut(changed, arena);
         if COUNT {
             OpStats {

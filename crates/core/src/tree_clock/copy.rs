@@ -11,6 +11,11 @@
 //!
 //! Like the join, the traversal borrows the scratch stacks as disjoint
 //! fields — no per-operation swap-out/restore.
+//!
+//! In the timed path a copy follows its source: from a lazily flat
+//! source it is a times-array copy that adopts the source's star,
+//! unless the star's cut makes the surgical copy O(1) (see the module
+//! docs of `tree_clock`).
 
 use crate::clock::{LogicalClock, OpStats};
 use crate::ThreadId;
@@ -51,15 +56,26 @@ impl TreeClock {
             ThreadId::new(z),
         );
 
-        // Timed-path fast path: when recent copies kept replacing most
-        // of the tree, skip the traversal and replicate `other` outright
-        // (a full replica is always a valid monotone copy — the result
-        // must represent `other`'s vector time, and `other`'s own tree
-        // satisfies every invariant).
-        if !COUNT && self.take_dense_path() {
-            self.clone_structure_from::<false>(other);
-            stats.moved = self.nodes.len().max(other.nodes.len()) as u64;
-            return stats;
+        // Timed-path fast paths replicate `other` outright (a full
+        // replica is always a valid monotone copy — the result must
+        // represent `other`'s vector time, and `other`'s own shape
+        // satisfies every invariant):
+        // - from a lazily flat source, unless the star's cut makes the
+        //   surgical copy O(1) on a materialized destination — the
+        //   times-array copy adopts the source's star;
+        // - from a materialized source into a lazily flat destination
+        //   (replicating beats writing out the destination's star), or
+        //   when recent copies kept replacing most of the tree.
+        if !COUNT {
+            let follow_source = match other.star_aclk {
+                Some(aclk) => self.star_aclk.is_some() || aclk > self.get_idx(zp),
+                None => self.star_aclk.is_some() || self.take_dense_path(),
+            };
+            if follow_source {
+                self.clone_structure_from::<false>(other);
+                stats.moved = self.clks.len().max(other.clks.len()) as u64;
+                return stats;
+            }
         }
 
         self.gather.clear();
@@ -68,18 +84,22 @@ impl TreeClock {
         if COUNT {
             stats.examined += 1; // the root of `other` is always processed
         }
-        let found_old_root = Self::gather_copy::<COUNT>(
-            &self.clks,
-            other,
-            zp,
-            z,
-            &mut self.gather,
-            &mut self.frames,
-            &mut stats,
-        );
+        let found_old_root = if other.star_aclk.is_some() {
+            Self::gather_star::<COUNT>(&self.clks, other, z, &mut self.gather, &mut stats)
+        } else {
+            Self::gather_copy::<COUNT>(
+                &self.clks,
+                other,
+                zp,
+                z,
+                &mut self.gather,
+                &mut self.frames,
+                &mut stats,
+            )
+        };
         let moved = self.gather.len();
         if !COUNT {
-            self.note_density(moved, self.nodes.len().max(other.nodes.len()));
+            self.note_density(moved, self.clks.len().max(other.clks.len()));
             stats.moved = moved as u64;
         }
 
@@ -109,20 +129,26 @@ impl TreeClock {
         // examined-entry count within the Theorem 1 budget: the counted
         // clone walks the union of the two present-node sets — at most
         // `max(len)` entries here, and at least half that many changed.
-        if moved >= self.nodes.len().max(other.nodes.len()) / 2 {
+        if moved >= self.clks.len().max(other.clks.len()) / 2 {
             // The clone's own traversal reuses the scratch stack; clear
             // it first so the copy walk starts fresh.
             self.gather.clear();
+            if !COUNT && moved >= super::join::FLAT_FINISH_MIN_MOVED {
+                self.clks.clone_from(&other.clks);
+                self.root = zp;
+                self.star_aclk = Some(other.clks[zp as usize]);
+                return stats;
+            }
             let clone_stats = self.clone_structure_from::<COUNT>(other);
             stats += clone_stats;
             return stats;
         }
 
+        self.materialize();
         Self::detach_nodes_in(&mut self.nodes, self.root, &self.gather);
         Self::attach_nodes_in::<COUNT>(
             &mut self.nodes,
             &mut self.clks,
-            &mut self.num_present,
             other,
             &mut self.gather,
             &mut stats,

@@ -2,30 +2,28 @@
 
 use std::fmt;
 
-use super::node::NIL;
 use super::TreeClock;
+use crate::ThreadId;
 
 impl TreeClock {
-    /// Writes the subtree rooted at `u` as `(t, clk, aclk)[children…]`.
-    fn fmt_subtree(&self, f: &mut fmt::Formatter<'_>, u: u32, is_root: bool) -> fmt::Result {
-        let n = &self.nodes[u as usize];
-        let clk = self.clks[u as usize];
-        if is_root {
-            write!(f, "(t{u}, {clk}, ⊥)")?;
+    /// Writes the subtree rooted at `u` as `(t, clk, aclk)[children…]`
+    /// (through the inspection API, so a lazy star renders as its
+    /// materialized form).
+    fn fmt_subtree(&self, f: &mut fmt::Formatter<'_>, u: ThreadId) -> fmt::Result {
+        let n = self.node(u).expect("rendered nodes are present");
+        if n.parent.is_none() {
+            write!(f, "(t{}, {}, ⊥)", u.raw(), n.clk)?;
         } else {
-            write!(f, "(t{u}, {clk}, {})", n.aclk)?;
+            write!(f, "(t{}, {}, {})", u.raw(), n.clk, n.aclk)?;
         }
-        if n.head_child != NIL {
+        let children = self.children(u);
+        if !children.is_empty() {
             write!(f, "[")?;
-            let mut c = n.head_child;
-            let mut first = true;
-            while c != NIL {
-                if !first {
+            for (i, &c) in children.iter().enumerate() {
+                if i > 0 {
                     write!(f, ", ")?;
                 }
-                first = false;
-                self.fmt_subtree(f, c, false)?;
-                c = self.nodes[c as usize].next_sib;
+                self.fmt_subtree(f, c)?;
             }
             write!(f, "]")?;
         }
@@ -40,7 +38,7 @@ impl fmt::Display for TreeClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.root_idx() {
             None => write!(f, "(empty)"),
-            Some(r) => self.fmt_subtree(f, r, true),
+            Some(r) => self.fmt_subtree(f, ThreadId::new(r)),
         }
     }
 }

@@ -18,6 +18,11 @@
 //! runs on the per-event path (that swap used to cost a handful of ns
 //! per operation, a measurable slice of the sparse-regime fixed
 //! overhead).
+//!
+//! In the timed dense regime the join is instead a branchless pointwise
+//! maximum that leaves `self` a lazy star ([`TreeClock::flat_join`]);
+//! a lazily flat *source* is walked through its implicit star
+//! ([`TreeClock::gather_star`]) without materializing it.
 
 use crate::clock::OpStats;
 use crate::{LocalTime, ThreadId};
@@ -40,6 +45,12 @@ pub(crate) struct Frame {
 pub(crate) fn time_at(clks: &[LocalTime], idx: u32) -> LocalTime {
     clks.get(idx as usize).copied().unwrap_or(0)
 }
+
+/// The fewest gathered entries for which a dense timed join finishes
+/// flat instead of re-linking them: below this, the surgical re-link is
+/// cheap in absolute terms and keeps the tree's granularity (small
+/// clocks, such as the paper's worked examples, stay exact trees).
+pub(crate) const FLAT_FINISH_MIN_MOVED: usize = 32;
 
 impl TreeClock {
     /// Returns both the join's result statistics and (for the uncounted
@@ -72,33 +83,49 @@ impl TreeClock {
         // Timed-path fast path: when recent joins kept moving most of
         // the tree (dense communication — the regime where the surgical
         // walk's pointer chasing loses to a flat loop), join on the
-        // dense arrays instead. Value-identical; see `flat_join`.
+        // dense times array instead and leave a lazy star. Value
+        // identical; see the module docs of `tree_clock`.
         if !COUNT && self.take_dense_path() {
-            self.flat_join(other, z);
-            stats.moved = self.nodes.len() as u64;
+            self.flat_join::<false>(&other.clks, z);
+            stats.moved = self.clks.len() as u64;
             return stats;
         }
 
         self.gather.clear();
         self.frames.clear();
-        Self::gather_join::<COUNT>(
-            &self.clks,
-            other,
-            zp,
-            &mut self.gather,
-            &mut self.frames,
-            &mut stats,
-        );
+        if other.star_aclk.is_some() {
+            Self::gather_star::<COUNT>(&self.clks, other, NIL, &mut self.gather, &mut stats);
+        } else {
+            Self::gather_join::<COUNT>(
+                &self.clks,
+                other,
+                zp,
+                &mut self.gather,
+                &mut self.frames,
+                &mut stats,
+            );
+        }
         let moved = self.gather.len();
         if !COUNT {
-            self.note_density(moved, self.nodes.len().max(other.nodes.len()));
             stats.moved = moved as u64;
+            // A dense outcome finishes flat — the pointwise maximum costs
+            // less than re-linking a sizable share of the arena — once
+            // the clock is already lazily flat or its previous join was
+            // dense too. An isolated dense join in a sparse regime stays
+            // surgical, so flatness does not spread into sparse clocks.
+            if self.note_density(moved, self.clks.len().max(other.clks.len()))
+                && moved >= FLAT_FINISH_MIN_MOVED
+                && (self.star_aclk.is_some() || self.dense_streak >= 2)
+            {
+                self.flat_join::<false>(&other.clks, z);
+                return stats;
+            }
         }
+        self.materialize();
         Self::detach_nodes_in(&mut self.nodes, self.root, &self.gather);
         Self::attach_nodes_in::<COUNT>(
             &mut self.nodes,
             &mut self.clks,
-            &mut self.num_present,
             other,
             &mut self.gather,
             &mut stats,
@@ -113,108 +140,42 @@ impl TreeClock {
         stats
     }
 
-    /// Value-equivalent join on the dense arrays: a (vectorizable)
-    /// pointwise maximum, followed by re-hanging every known thread
-    /// directly under the root at the root's *current* time.
+    /// The dense-regime join against a times array (the source's, or
+    /// the hybrid clock's flat representation): a branchless pointwise
+    /// maximum the compiler vectorizes, then an O(1) stamp that makes
+    /// `self` a lazy star under its root `z`, attached at the root's
+    /// current time (sound by the argument in the module docs).
     ///
-    /// Attaching at the current root time is sound for both monotonicity
-    /// principles: any later joiner that already knows this root's
-    /// current local time transitively knows everything the root knows
-    /// *now* — including every child's current value — so skipping the
-    /// flat child list is exactly as safe as skipping a surgically
-    /// maintained one. What the flat shape gives up is *granularity*
-    /// (children can no longer be skipped individually by older
-    /// knowledge), which is precisely worthless in the dense regime that
-    /// triggers this path: most entries change every operation anyway.
-    ///
-    /// Only the uncounted (timed) path takes this shortcut; the counted
-    /// variants always run Algorithm 2 verbatim, so all work accounting
-    /// (`OpStats`, Theorem 1 checks) measures the paper's algorithm.
-    pub(crate) fn flat_join(&mut self, other: &TreeClock, z: u32) {
-        if other.clks.len() > self.clks.len() {
-            self.ensure_slot(other.clks.len() as u32 - 1);
-        }
-        for (mine, &theirs) in self.clks.iter_mut().zip(other.clks.iter()) {
-            if theirs > *mine {
-                *mine = theirs;
-            }
-        }
-        self.rebuild_star(z, |i| other.is_present(i));
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-    }
-
-    /// The slice twin of [`flat_join`](Self::flat_join), for a source
-    /// that *is* a flat array (the hybrid clock's `Tree ⊔ Flat` case):
-    /// pointwise maximum against `times`, then a flat re-attachment of
-    /// every known thread under `self`'s root `z`. Returns the number of
-    /// entries whose value changed (the caller's density observation and
-    /// exact `VTWork` contribution).
-    pub(crate) fn flat_join_slice(&mut self, times: &[LocalTime], z: u32) -> u64 {
+    /// With `COUNT_CHANGED`, returns the number of entries whose value
+    /// changed (the hybrid clock's density observation and exact
+    /// `VTWork` contribution); otherwise returns 0.
+    #[inline(never)]
+    pub(crate) fn flat_join<const COUNT_CHANGED: bool>(
+        &mut self,
+        times: &[LocalTime],
+        z: u32,
+    ) -> u64 {
         if times.len() > self.clks.len() {
             self.ensure_slot(times.len() as u32 - 1);
         }
         let mut changed = 0u64;
         for (mine, &theirs) in self.clks.iter_mut().zip(times.iter()) {
-            changed += u64::from(theirs > *mine);
+            if COUNT_CHANGED {
+                changed += u64::from(theirs > *mine);
+            }
             *mine = (*mine).max(theirs);
         }
-        self.rebuild_star(z, |_| false);
+        self.star_aclk = Some(self.clks[z as usize]);
         debug_assert_eq!(self.check_invariants(), Ok(()));
         changed
     }
 
-    /// Rebuilds the tree shape flat: every known thread becomes a direct
-    /// child of root `z`, attached at the root's current time, in a
-    /// single forward sweep over the arena. A thread is *known* when its
-    /// local time is nonzero, its node is currently in the tree, or
-    /// `keep_extra` says so (used by [`flat_join`](Self::flat_join) to
-    /// retain zero-time nodes present in the join source).
-    pub(crate) fn rebuild_star(&mut self, z: u32, keep_extra: impl Fn(u32) -> bool) {
-        let root_time = self.clks[z as usize];
-        let mut head = NIL;
-        let mut prev = NIL;
-        let mut count = 1u32;
-        for i in 0..self.nodes.len() as u32 {
-            if i == z {
-                continue;
-            }
-            let iu = i as usize;
-            if self.clks[iu] == 0 && !self.nodes[iu].present() && !keep_extra(i) {
-                continue;
-            }
-            {
-                let n = &mut self.nodes[iu];
-                n.parent = z;
-                n.aclk = root_time;
-                n.head_child = NIL;
-                n.prev_sib = prev;
-                n.next_sib = NIL;
-            }
-            if prev == NIL {
-                head = i;
-            } else {
-                self.nodes[prev as usize].next_sib = i;
-            }
-            prev = i;
-            count += 1;
-        }
-        {
-            let r = &mut self.nodes[z as usize];
-            r.parent = NIL;
-            r.head_child = head;
-            r.next_sib = NIL;
-            r.prev_sib = NIL;
-            r.aclk = 0;
-        }
-        self.num_present = count;
-    }
-
-    /// Materializes a tree from a flat times array: the values become
+    /// Builds a tree from a flat times array: the values become
     /// `self`'s local times and every known thread hangs directly under
-    /// `root` (the star shape [`flat_join`](Self::flat_join) also
-    /// produces, sound by the same argument). This is the hybrid clock's
-    /// dense→sparse re-materialization: the scan is one forward sweep
-    /// and the link work is O(present entries).
+    /// `root` as a lazy star (the shape [`flat_join`](Self::flat_join)
+    /// also leaves). This is the hybrid clock's dense→sparse
+    /// re-materialization and the checkpoint restore: one copy, no link
+    /// work until a surgical operation needs the links.
     ///
     /// # Panics
     ///
@@ -230,8 +191,78 @@ impl TreeClock {
         // Entries past `times.len()` were zeroed by the teardown that
         // emptied this clock; nothing to reset.
         self.root = root;
-        self.rebuild_star(root, |_| false);
+        self.star_aclk = Some(self.clks[root as usize]);
         debug_assert_eq!(self.check_invariants(), Ok(()));
+    }
+
+    /// `getUpdatedNodesJoin`/`getUpdatedNodesCopy` over a lazily flat
+    /// source's implicit star, without materializing it: the children
+    /// of the root are the nonzero entries in ascending index order, all
+    /// attached at `star_aclk` and all leaves. Pushes, in post-order,
+    /// every child that progressed relative to `self_clks` — and
+    /// `old_root` (`NIL` for a join) even if it has not — followed by
+    /// the root. Returns whether `old_root` was collected.
+    ///
+    /// Examines exactly the entries the pointer walk over the
+    /// materialized star examines, so the counted figures are those of
+    /// Algorithm 2.
+    #[inline(never)]
+    pub(crate) fn gather_star<const COUNT: bool>(
+        self_clks: &[LocalTime],
+        other: &TreeClock,
+        old_root: u32,
+        gathered: &mut Vec<u32>,
+        stats: &mut OpStats,
+    ) -> bool {
+        let zp = other.root;
+        let o_clks: &[LocalTime] = &other.clks;
+        let aclk = other.star_aclk.expect("gather_star needs a lazy star");
+        let known = time_at(self_clks, zp);
+        let mut found_old_root = old_root == zp;
+        if aclk <= known {
+            // Indirect monotonicity: the scan stops at the first child
+            // that has not progressed.
+            for (i, &o) in o_clks.iter().enumerate() {
+                let i = i as u32;
+                if o == 0 || i == zp {
+                    continue;
+                }
+                if COUNT {
+                    stats.examined += 1;
+                }
+                let progressed = time_at(self_clks, i) < o;
+                if progressed || i == old_root {
+                    gathered.push(i);
+                    found_old_root |= i == old_root;
+                }
+                if !progressed {
+                    break;
+                }
+            }
+        } else {
+            // No cut: every child is examined. A branchless compaction
+            // of the progressed indices (and `old_root`).
+            let base = gathered.len();
+            gathered.resize(base + o_clks.len(), 0);
+            let out = &mut gathered[base..];
+            let mut n = 0;
+            for (i, &o) in o_clks.iter().enumerate() {
+                let i = i as u32;
+                let member = (o != 0) & (i != zp);
+                if COUNT {
+                    stats.examined += u64::from(member);
+                }
+                let keep = member & ((time_at(self_clks, i) < o) | (i == old_root));
+                out[n] = i;
+                n += usize::from(keep);
+            }
+            gathered.truncate(base + n);
+            if old_root != NIL && old_root != zp {
+                found_old_root |= time_at(o_clks, old_root) != 0;
+            }
+        }
+        gathered.push(zp);
+        found_old_root
     }
 
     /// Iterative `getUpdatedNodesJoin`: collects, in post-order, every

@@ -20,6 +20,44 @@
 //! array of local times plus a parallel arena of tree links, indexed by
 //! thread id (the `ThrMap` of Algorithm 2 is the identity map) — and all
 //! traversals are iterative.
+//!
+//! # The lazy star (timed dense regime)
+//!
+//! The instrumented operations (`*_counted`) always run Algorithm 2
+//! verbatim. The timed operations switch to a *dense regime* once
+//! recent operations kept moving a sizable share of the arena (see
+//! [`note_density`](TreeClock::note_density)); there a surgical walk's
+//! pointer chasing loses to a flat array sweep. A dense operation
+//! touches only the times array and records the resulting shape as an
+//! implicit **star**: the root is unchanged, every other thread with a
+//! nonzero time hangs directly under it in ascending index order, and
+//! all children share one attachment clock, `star_aclk`. The link arena
+//! is left stale. Attaching every child at the root's time of the flat
+//! operation is sound for both monotonicity principles: a later joiner
+//! that already knows that root time transitively knows everything the
+//! root knew then, including every child's value (the argument behind
+//! the paper's Algorithm 2 attaching a joined subtree at the current
+//! root time).
+//!
+//! The star is materialized into links only when something needs them:
+//! a surgical operation on the clock itself (a periodic density probe,
+//! a workload turning sparse, or any counted operation), a counted
+//! clone, or the lazy star is replaced wholesale. Reading a lazily flat
+//! clock never materializes it: a sparse destination walks the implicit
+//! star surgically (its children are the nonzero entries, and one
+//! `star_aclk` comparison makes the indirect-monotonicity cut), and the
+//! inspection APIs ([`node`](TreeClock::node),
+//! [`children`](TreeClock::children), `Display`,
+//! [`check_invariants`](TreeClock::check_invariants)) report the
+//! implicit star exactly as its materialized form.
+//!
+//! **Copies follow their source.** A timed monotone copy from a lazily
+//! flat source that would have to walk the whole star is a times-array
+//! copy that adopts the source's star (the copy-observes-on-source rule
+//! of the hybrid backend: a lock's clock mirrors its publishing
+//! thread's regime). A copy the star's cut makes O(1) stays surgical,
+//! and joins from a lazily flat source into a sparse destination stay
+//! surgical, so flatness does not spread into sparse clocks.
 
 mod copy;
 mod display;
@@ -75,22 +113,25 @@ pub struct TreeClock {
     /// Dense local times; `clks[i] == 0` also covers absent threads
     /// (the "timestamps array" of the paper's implementation).
     clks: Vec<LocalTime>,
-    /// Tree links, parallel to `clks` (the "shape array").
+    /// Tree links, parallel to `clks` (the "shape array"). While the
+    /// clock is a lazy star the arena is stale and may be shorter than
+    /// `clks`; [`materialize`](Self::materialize) restores both.
     nodes: Vec<Node>,
     /// Root node index, or `NIL` when the clock is empty.
     root: u32,
-    /// Number of present (in-tree) nodes, maintained incrementally so
-    /// the sparse copy/clear paths and the adaptive fallback threshold
-    /// are O(1) to size.
-    num_present: u32,
+    /// `Some(aclk)` while the shape is the lazy star of the module docs:
+    /// every nonzero non-root entry is a child of the root attached at
+    /// `aclk`, and `nodes` is stale. `None` while `nodes` holds the
+    /// tree (and is exactly as long as `clks`).
+    star_aclk: Option<LocalTime>,
     /// Consecutive *uncounted* operations that moved most of the tree.
     /// Drives the adaptive dense fast paths of the timed hot path (see
-    /// [`flat_join`](Self::flat_join)); the instrumented (`COUNT`)
-    /// variants always run the exact surgical algorithm.
+    /// the module docs); the instrumented (`COUNT`) variants always run
+    /// the exact surgical algorithm.
     dense_streak: u8,
     /// Uncounted operations taken by a dense fast path since the last
     /// surgical probe (the fast path re-measures density periodically).
-    dense_ops: u32,
+    dense_ops: u16,
     /// Scratch stack `S` of Algorithm 2, reused across operations.
     gather: Vec<u32>,
     /// Scratch traversal frames, reused across operations.
@@ -104,7 +145,7 @@ const DENSE_STREAK_LIMIT: u8 = 3;
 /// While in dense mode, every `DENSE_PROBE_PERIOD`-th operation runs the
 /// surgical algorithm to re-measure density (and exit dense mode when
 /// the workload turns sparse again).
-const DENSE_PROBE_PERIOD: u32 = 256;
+const DENSE_PROBE_PERIOD: u16 = 256;
 
 /// A read-only snapshot of one tree-clock node, for inspection and
 /// testing (compare against the paper's figures).
@@ -127,7 +168,7 @@ impl TreeClock {
             clks: Vec::new(),
             nodes: Vec::new(),
             root: NIL,
-            num_present: 0,
+            star_aclk: None,
             dense_streak: 0,
             dense_ops: 0,
             gather: Vec::new(),
@@ -136,7 +177,7 @@ impl TreeClock {
     }
 
     /// Records whether an uncounted surgical operation was *dense*,
-    /// feeding the adaptive fast-path switch.
+    /// feeding the adaptive fast-path switch, and returns the verdict.
     ///
     /// Density is judged against the *arena length*, not the tree size:
     /// the flat fast path costs Θ(arena) per operation, so it only pays
@@ -144,12 +185,14 @@ impl TreeClock {
     /// arena. (Judging against the tree size would classify every small
     /// tree as dense and make sparse scenarios sweep the whole arena.)
     #[inline]
-    pub(crate) fn note_density(&mut self, moved: usize, arena: usize) {
-        if moved * 4 >= arena.max(1) {
+    pub(crate) fn note_density(&mut self, moved: usize, arena: usize) -> bool {
+        let dense = moved * 4 >= arena.max(1);
+        if dense {
             self.dense_streak = self.dense_streak.saturating_add(1);
         } else {
             self.dense_streak = 0;
         }
+        dense
     }
 
     /// Returns `true` when the timed path should take the dense fast
@@ -181,17 +224,99 @@ impl TreeClock {
         }
     }
 
+    /// Whether thread index `idx` is in the tree (read through the
+    /// implicit star while lazily flat).
     #[inline]
     pub(crate) fn is_present(&self, idx: u32) -> bool {
-        self.nodes.get(idx as usize).is_some_and(|n| n.present())
+        if self.star_aclk.is_some() {
+            idx == self.root || self.get_idx(idx) != 0
+        } else {
+            self.nodes.get(idx as usize).is_some_and(|n| n.present())
+        }
     }
 
-    /// Grows both arrays so index `idx` is addressable.
+    /// The `(aclk, parent)` links of present node `idx`, read through
+    /// the implicit star while lazily flat.
+    #[inline]
+    pub(crate) fn link_of(&self, idx: u32) -> (LocalTime, u32) {
+        match self.star_aclk {
+            Some(_) if idx == self.root => (0, NIL),
+            Some(aclk) => (aclk, self.root),
+            None => {
+                let n = &self.nodes[idx as usize];
+                (n.aclk, n.parent)
+            }
+        }
+    }
+
+    /// The children of a lazy star's root, in child-list order: every
+    /// nonzero entry but the root's, ascending by thread index.
+    fn star_children(&self) -> impl Iterator<Item = u32> + '_ {
+        let root = self.root;
+        (0..self.clks.len() as u32).filter(move |&i| i != root && self.clks[i as usize] != 0)
+    }
+
+    /// Writes the lazy star into the link arena (a no-op when the links
+    /// are already materialized).
+    #[inline]
+    pub(crate) fn materialize(&mut self) {
+        if let Some(aclk) = self.star_aclk {
+            self.write_star(aclk);
+        }
+    }
+
+    /// [`materialize`](Self::materialize)'s out-of-line body: one
+    /// forward sweep that rewrites every slot, since the stale arena may
+    /// hold any earlier shape.
+    #[cold]
+    #[inline(never)]
+    fn write_star(&mut self, aclk: LocalTime) {
+        self.star_aclk = None;
+        let z = self.root;
+        let mut head = NIL;
+        let mut prev = NIL;
+        self.nodes.resize_with(self.clks.len(), Node::default);
+        for i in 0..self.nodes.len() as u32 {
+            let iu = i as usize;
+            if i == z {
+                continue;
+            }
+            if self.clks[iu] == 0 {
+                self.nodes[iu] = Node::default();
+                continue;
+            }
+            self.nodes[iu] = Node {
+                aclk,
+                parent: z,
+                head_child: NIL,
+                next_sib: NIL,
+                prev_sib: prev,
+            };
+            if prev == NIL {
+                head = i;
+            } else {
+                self.nodes[prev as usize].next_sib = i;
+            }
+            prev = i;
+        }
+        self.nodes[z as usize] = Node {
+            aclk: 0,
+            parent: NIL,
+            head_child: head,
+            next_sib: NIL,
+            prev_sib: NIL,
+        };
+    }
+
+    /// Grows the arrays so index `idx` is addressable (a lazy star's
+    /// stale arena is left for [`materialize`](Self::materialize)).
     pub(crate) fn ensure_slot(&mut self, idx: u32) {
         let len = idx as usize + 1;
-        if len > self.nodes.len() {
-            self.nodes.resize_with(len, Node::default);
+        if len > self.clks.len() {
             self.clks.resize(len, 0);
+            if self.star_aclk.is_none() {
+                self.nodes.resize_with(len, Node::default);
+            }
         }
     }
 
@@ -258,7 +383,6 @@ impl TreeClock {
     pub(crate) fn attach_nodes_in<const COUNT: bool>(
         nodes: &mut Vec<Node>,
         clks: &mut Vec<LocalTime>,
-        num_present: &mut u32,
         other: &TreeClock,
         gathered: &mut Vec<u32>,
         stats: &mut OpStats,
@@ -272,12 +396,8 @@ impl TreeClock {
         }
         while let Some(up) = gathered.pop() {
             let iu = up as usize;
-            if !nodes[iu].present() {
-                *num_present += 1;
-            }
             let o_clk = other.clks[iu];
-            let src = &other.nodes[iu];
-            let (o_aclk, o_parent) = (src.aclk, src.parent);
+            let (o_aclk, o_parent) = other.link_of(up);
             if COUNT {
                 stats.moved += 1;
                 if clks[iu] != o_clk {
@@ -318,23 +438,27 @@ impl TreeClock {
         if !COUNT {
             // Timed path: replicating the two dense arrays is a pair of
             // memcpys — far faster than the sparse walk for the array
-            // lengths a thread dimension produces. The walk below is the
-            // *model*-accurate variant: it establishes that the
-            // information transferred is O(present), which is what the
-            // counted runs (and Theorem 1's corpus checks) measure.
+            // lengths a thread dimension produces — and a lazily flat
+            // source is replicated by its times alone, adopting its
+            // star. The walk below is the *model*-accurate variant: it
+            // establishes that the information transferred is
+            // O(present), which is what the counted runs (and Theorem
+            // 1's corpus checks) measure.
             self.clks.clone_from(&other.clks);
-            self.nodes.clone_from(&other.nodes);
+            if other.star_aclk.is_none() {
+                self.nodes.clone_from(&other.nodes);
+            }
             self.root = other.root;
-            self.num_present = other.num_present;
+            self.star_aclk = other.star_aclk;
             return stats;
         }
+        self.materialize();
         let Some(zp) = other.root_idx() else {
             // Copying an empty clock is just a (counted) clear.
             Self::clear_tree_in::<COUNT>(
                 &mut self.nodes,
                 &mut self.clks,
                 &mut self.root,
-                &mut self.num_present,
                 None,
                 &mut stats,
             );
@@ -358,6 +482,12 @@ impl TreeClock {
                 }
                 stats.moved += 1;
             }
+            if other.star_aclk.is_some() {
+                if u == zp {
+                    self.gather.extend(other.star_children());
+                }
+                continue;
+            }
             let mut c = other.nodes[u as usize].head_child;
             while c != NIL {
                 self.gather.push(c);
@@ -372,22 +502,26 @@ impl TreeClock {
             &mut self.nodes,
             &mut self.clks,
             &mut self.root,
-            &mut self.num_present,
             Some(other),
             &mut stats,
         );
 
         // Phase 3: materialize other's nodes. Links can be copied
         // verbatim — they only reference present nodes of `other`, all
-        // of which are in `gathered`.
+        // of which are in `gathered`. A lazily flat source's star is
+        // adopted and written out.
         self.ensure_slot(max_idx);
+        let lazy_src = other.star_aclk.is_some();
         for idx in 0..self.gather.len() {
             let u = self.gather[idx] as usize;
-            self.nodes[u] = other.nodes[u].clone();
+            if !lazy_src {
+                self.nodes[u] = other.nodes[u].clone();
+            }
             self.clks[u] = other.clks[u];
         }
         self.root = other.root;
-        self.num_present = other.num_present;
+        self.star_aclk = other.star_aclk;
+        self.materialize();
 
         self.gather.clear();
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -406,7 +540,6 @@ impl TreeClock {
         nodes: &mut [Node],
         clks: &mut [LocalTime],
         root: &mut u32,
-        num_present: &mut u32,
         keep_counts_of: Option<&TreeClock>,
         stats: &mut OpStats,
     ) {
@@ -439,7 +572,6 @@ impl TreeClock {
             cur = parent;
         }
         *root = NIL;
-        *num_present = 0;
     }
 
     /// Read-only view of the dense local-times array — the value this
@@ -455,19 +587,15 @@ impl TreeClock {
     /// Returns a snapshot of the node for thread `t`, or `None` if the
     /// thread is not in the tree.
     pub fn node(&self, t: ThreadId) -> Option<NodeView> {
-        let n = self.nodes.get(t.index())?;
-        if !n.present() {
+        if !self.is_present(t.raw()) {
             return None;
         }
+        let (aclk, parent) = self.link_of(t.raw());
         Some(NodeView {
             tid: t,
             clk: self.clks[t.index()],
-            aclk: if n.parent == NIL { 0 } else { n.aclk },
-            parent: if n.parent == NIL {
-                None
-            } else {
-                Some(ThreadId::new(n.parent))
-            },
+            aclk: if parent == NIL { 0 } else { aclk },
+            parent: (parent != NIL).then(|| ThreadId::new(parent)),
         })
     }
 
@@ -475,13 +603,16 @@ impl TreeClock {
     /// attachment clock) to back.
     pub fn children(&self, t: ThreadId) -> Vec<ThreadId> {
         let mut out = Vec::new();
-        let Some(n) = self.nodes.get(t.index()) else {
-            return out;
-        };
-        if !n.present() {
+        if !self.is_present(t.raw()) {
             return out;
         }
-        let mut c = n.head_child;
+        if self.star_aclk.is_some() {
+            if t.raw() == self.root {
+                out.extend(self.star_children().map(ThreadId::new));
+            }
+            return out;
+        }
+        let mut c = self.nodes[t.index()].head_child;
         while c != NIL {
             out.push(ThreadId::new(c));
             c = self.nodes[c as usize].next_sib;
@@ -489,15 +620,12 @@ impl TreeClock {
         out
     }
 
-    /// Number of threads present in the tree (O(1): maintained
-    /// incrementally).
+    /// Number of threads present in the tree (an O(k) count; a lazily
+    /// flat clock counts its implicit star).
     pub fn node_count(&self) -> usize {
-        debug_assert_eq!(
-            self.num_present as usize,
-            self.nodes.iter().filter(|s| s.present()).count(),
-            "num_present counter out of sync"
-        );
-        self.num_present as usize
+        (0..self.clks.len() as u32)
+            .filter(|&i| self.is_present(i))
+            .count()
     }
 
     // ---- construction from explicit structure ------------------------
@@ -525,7 +653,6 @@ impl TreeClock {
                 )));
             }
             tc.clks[tid.index()] = clk;
-            tc.num_present += 1;
             match parent {
                 None => {
                     if tc.root != NIL {
@@ -585,7 +712,6 @@ impl LogicalClock for TreeClock {
         self.nodes[t.index()].parent = NIL;
         self.clks[t.index()] = 0;
         self.root = t.raw();
-        self.num_present += 1;
     }
 
     fn root_tid(&self) -> Option<ThreadId> {
@@ -657,13 +783,12 @@ impl LogicalClock for TreeClock {
     }
 
     fn num_threads(&self) -> usize {
-        self.nodes.len()
+        self.clks.len()
     }
 
-    /// Re-materializes the clock from a checkpointed value as the star
-    /// shape (every present thread directly under the root), the same
-    /// O(present) construction the dense fast path and the hybrid
-    /// backend use.
+    /// Restores the clock from a checkpointed value as the lazy star
+    /// (every present thread directly under the root), the shape the
+    /// dense fast path and the hybrid backend produce.
     fn restore_value(&mut self, times: &[LocalTime], root: Option<ThreadId>) {
         assert!(
             self.root == NIL,
@@ -683,15 +808,22 @@ impl LogicalClock for TreeClock {
     /// the arena buffers for reuse (e.g. via a
     /// [`ClockPool`](crate::pool::ClockPool)).
     fn clear(&mut self) {
-        let mut ignored = OpStats::NOOP;
-        Self::clear_tree_in::<false>(
-            &mut self.nodes,
-            &mut self.clks,
-            &mut self.root,
-            &mut self.num_present,
-            None,
-            &mut ignored,
-        );
+        if self.star_aclk.take().is_some() {
+            // The stale arena has no walkable tree: reset it wholesale.
+            self.clks.fill(0);
+            self.nodes.clear();
+            self.nodes.resize_with(self.clks.len(), Node::default);
+            self.root = NIL;
+        } else {
+            let mut ignored = OpStats::NOOP;
+            Self::clear_tree_in::<false>(
+                &mut self.nodes,
+                &mut self.clks,
+                &mut self.root,
+                None,
+                &mut ignored,
+            );
+        }
         // A recycled clock starts a fresh life: do not let a previous
         // role's density profile steer the adaptive fast paths.
         self.dense_streak = 0;

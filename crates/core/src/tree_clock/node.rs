@@ -12,6 +12,8 @@
 //!
 //! Membership is encoded in the parent link: [`ABSENT`] means the
 //! thread is not in the tree (its time is 0), [`NIL`] marks the root.
+//! While a clock is a lazy star (see the `tree_clock` module docs) the
+//! arena is stale and the shape is implied by the times array.
 
 /// Sentinel index meaning "no node" (the paper's `⊥`).
 pub(crate) const NIL: u32 = u32::MAX;
@@ -74,7 +76,9 @@ mod tests {
     fn nodes_are_compact() {
         // The link arena is the "shape array" of the paper; keeping it
         // to five words preserves the cache behaviour the sublinear
-        // operations rely on.
+        // operations rely on. (The timed dense regime does not touch
+        // it at all: a lazy star lives in the times array plus one
+        // attachment clock, and a copy from it copies times only.)
         assert_eq!(std::mem::size_of::<Node>(), 20);
     }
 }

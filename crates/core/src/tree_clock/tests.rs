@@ -512,3 +512,327 @@ fn small_copies_stay_surgical() {
     assert_eq!(lock.get(t(0)), c.get(t(0)));
     assert_eq!(lock.check_invariants(), Ok(()));
 }
+
+// ---------------------------------------------------------------------
+// The lazy star (timed dense regime)
+// ---------------------------------------------------------------------
+
+/// A clock whose last timed joins were dense: `k` threads each publish
+/// through one lock, and thread 0 keeps acquiring it, so its joins move
+/// most of the arena and it settles into the lazy star.
+fn dense_thread_clock(k: u32) -> TreeClock {
+    let mut lock = TreeClock::new();
+    let mut hub = rooted(0, 1);
+    for i in 1..k {
+        let mut c = rooted(i, i);
+        c.join(&lock);
+        c.increment(1);
+        lock.monotone_copy(&c);
+        hub.increment(1);
+        hub.join(&lock);
+    }
+    hub
+}
+
+#[test]
+fn dense_joins_leave_a_lazy_star() {
+    let hub = dense_thread_clock(16);
+    assert!(hub.star_aclk.is_some(), "dense timed joins must go flat");
+    assert_eq!(hub.check_invariants(), Ok(()));
+    for i in 1..16 {
+        assert!(hub.get(t(i)) > 0);
+    }
+}
+
+/// The inspection APIs report the implicit star exactly as its
+/// materialized form.
+#[test]
+fn lazy_star_inspects_and_displays_like_its_materialized_form() {
+    let lazy = dense_thread_clock(12);
+    assert!(lazy.star_aclk.is_some());
+    let mut eager = lazy.clone();
+    eager.materialize();
+    assert!(eager.star_aclk.is_none());
+
+    assert_eq!(lazy.to_string(), eager.to_string());
+    assert_eq!(format!("{lazy:?}"), format!("{eager:?}"));
+    assert_eq!(lazy.node_count(), eager.node_count());
+    assert_eq!(lazy.root_tid(), eager.root_tid());
+    for i in 0..14 {
+        assert_eq!(lazy.node(t(i)), eager.node(t(i)), "node t{i}");
+        assert_eq!(lazy.children(t(i)), eager.children(t(i)), "children of t{i}");
+    }
+    assert_eq!(lazy.check_invariants(), Ok(()));
+    assert_eq!(eager.check_invariants(), Ok(()));
+    // The star: every other thread hangs under the root at one aclk.
+    let root = lazy.root_tid().unwrap();
+    let kids = lazy.children(root);
+    assert_eq!(kids.len(), 11);
+    let aclk = lazy.node(kids[0]).unwrap().aclk;
+    assert!(kids.iter().all(|&c| lazy.node(c).unwrap().aclk == aclk));
+}
+
+/// A copy from a lazily flat source adopts its star without writing
+/// any links; a later counted operation materializes it first and
+/// reports Algorithm 2's figures on the materialized star.
+#[test]
+fn copies_follow_a_lazy_source_and_counted_ops_materialize() {
+    let hub = dense_thread_clock(12);
+    let mut lock = TreeClock::new();
+    lock.monotone_copy(&hub);
+    assert_eq!(lock.star_aclk, hub.star_aclk);
+    assert_eq!(lock.vector_time(), hub.vector_time());
+
+    let mut reference = lock.clone();
+    reference.materialize();
+    let mut c = rooted(20, 3);
+    let mut c_ref = c.clone();
+    let stats = c.join_counted(&lock);
+    assert_eq!(stats, c_ref.join_counted(&reference));
+    assert_eq!(c.vector_time(), c_ref.vector_time());
+    assert_eq!(c.to_string(), c_ref.to_string());
+
+    // The counted copy into the lazy lock materializes it.
+    let mut hub2 = hub.clone();
+    hub2.increment(1);
+    lock.monotone_copy_counted(&hub2);
+    assert!(lock.star_aclk.is_none());
+    assert_eq!(lock.vector_time(), hub2.vector_time());
+    assert_eq!(lock.check_invariants(), Ok(()));
+}
+
+/// Clearing a lazily flat clock resets its stale arena: the recycled
+/// clock is empty, valid and reusable under a new root.
+#[test]
+fn clearing_a_lazy_star_leaves_a_clean_empty_clock() {
+    let mut hub = dense_thread_clock(10);
+    assert!(hub.star_aclk.is_some());
+    hub.clear();
+    assert!(hub.is_empty());
+    assert_eq!(hub.node_count(), 0);
+    assert_eq!(hub.check_invariants(), Ok(()));
+    hub.init_root(t(3));
+    hub.increment(2);
+    hub.join(&rooted(5, 4));
+    assert_eq!(hub.vector_time(), VectorTime::from(vec![0, 0, 0, 2, 0, 4]));
+    assert_eq!(hub.check_invariants(), Ok(()));
+}
+
+mod dense_regime_property {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::VectorClock;
+
+    const LOCKS: usize = 3;
+    const VARS: usize = 3;
+    /// Threads that do most of the work, so their clocks see enough
+    /// dense operations to enter the lazy star and reach the periodic
+    /// surgical probes.
+    const HOT: usize = 2;
+
+    /// A tree-clock universe and its vector-clock shadow.
+    struct Universe {
+        threads: Vec<TreeClock>,
+        locks: Vec<TreeClock>,
+        vars: Vec<TreeClock>,
+        shadow_threads: Vec<VectorClock>,
+        shadow_locks: Vec<VectorClock>,
+        shadow_vars: Vec<VectorClock>,
+        went_lazy: usize,
+        left_lazy: usize,
+    }
+
+    impl Universe {
+        fn new(k: usize) -> Self {
+            let mut u = Universe {
+                threads: (0..k).map(|_| TreeClock::new()).collect(),
+                locks: (0..LOCKS).map(|_| TreeClock::new()).collect(),
+                vars: (0..VARS).map(|_| TreeClock::new()).collect(),
+                shadow_threads: (0..k).map(|_| VectorClock::new()).collect(),
+                shadow_locks: (0..LOCKS).map(|_| VectorClock::new()).collect(),
+                shadow_vars: (0..VARS).map(|_| VectorClock::new()).collect(),
+                went_lazy: 0,
+                left_lazy: 0,
+            };
+            for i in 0..k {
+                u.threads[i].init_root(t(i as u32));
+                u.shadow_threads[i].init_root(t(i as u32));
+            }
+            u
+        }
+
+        fn tick(&mut self, i: usize) {
+            self.threads[i].increment(1);
+            self.shadow_threads[i].increment(1);
+        }
+
+        /// `acq(l); rel(l)` by thread `i`, each operation timed or
+        /// counted.
+        fn sync(&mut self, i: usize, l: usize, counted: (bool, bool)) {
+            self.tick(i);
+            if counted.0 {
+                self.threads[i].join_counted(&self.locks[l]);
+            } else {
+                self.threads[i].join(&self.locks[l]);
+            }
+            self.shadow_threads[i].join(&self.shadow_locks[l]);
+            self.tick(i);
+            if counted.1 {
+                self.locks[l].monotone_copy_counted(&self.threads[i]);
+            } else {
+                self.locks[l].monotone_copy(&self.threads[i]);
+            }
+            self.shadow_locks[l].monotone_copy(&self.shadow_threads[i]);
+        }
+
+        /// `w(x)` by thread `i`: a copy that may not be monotone.
+        fn write(&mut self, i: usize, x: usize, counted: bool) {
+            self.tick(i);
+            if counted {
+                self.vars[x].copy_check_monotone_counted(&self.threads[i]);
+            } else {
+                self.vars[x].copy_check_monotone(&self.threads[i]);
+            }
+            self.shadow_vars[x].copy_check_monotone(&self.shadow_threads[i]);
+        }
+
+        /// `r(x)` by thread `i`: a join with the last write.
+        fn read(&mut self, i: usize, x: usize, counted: bool) {
+            self.tick(i);
+            if counted {
+                self.threads[i].join_counted(&self.vars[x]);
+            } else {
+                self.threads[i].join(&self.vars[x]);
+            }
+            self.shadow_threads[i].join(&self.shadow_vars[x]);
+        }
+
+        /// Thread `i` joins thread `j` (a `join(j)` event).
+        fn join_thread(&mut self, i: usize, j: usize, counted: bool) {
+            if i == j {
+                return;
+            }
+            self.tick(i);
+            let (a, b) = if i < j {
+                let (lo, hi) = self.threads.split_at_mut(j);
+                (&mut lo[i], &hi[0])
+            } else {
+                let (lo, hi) = self.threads.split_at_mut(i);
+                (&mut hi[0], &lo[j])
+            };
+            if counted {
+                a.join_counted(b);
+            } else {
+                a.join(b);
+            }
+            let sj = self.shadow_threads[j].clone();
+            self.shadow_threads[i].join(&sj);
+        }
+
+        /// Threads `start..start + len` (mod k) each sync on lock `l`,
+        /// then hot thread `hot` acquires it and learns all of them.
+        fn round(&mut self, l: usize, start: usize, len: usize, hot: usize, counted: (bool, bool)) {
+            let k = self.threads.len();
+            for i in start..start + len {
+                self.sync(i % k, l, (false, false));
+            }
+            self.sync(hot, l, counted);
+        }
+
+        fn all(&self) -> impl Iterator<Item = (&TreeClock, &VectorClock)> {
+            self.threads
+                .iter()
+                .zip(&self.shadow_threads)
+                .chain(self.locks.iter().zip(&self.shadow_locks))
+                .chain(self.vars.iter().zip(&self.shadow_vars))
+        }
+
+        fn lazy_count(&self) -> usize {
+            self.all().filter(|(c, _)| c.star_aclk.is_some()).count()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// Random causally valid executions over 64–300 threads, mixing
+        /// timed and counted operations on the same clocks: values
+        /// always equal the vector-clock shadow, and every clock —
+        /// lazily flat or not — satisfies the invariants once
+        /// materialized.
+        #[test]
+        fn dense_regime_matches_vector_clock_shadow(
+            k in 64usize..300,
+            steps in prop::collection::vec(
+                (0u8..10, 0usize..1000, 0usize..1000, 0u8..8),
+                1200..2400,
+            ),
+        ) {
+            let mut u = Universe::new(k);
+            // Three rounds in which every thread publishes before each
+            // hot thread acquires: three dense joins in a row put the
+            // hot threads in the dense regime.
+            for _ in 0..3 {
+                for hot in 0..HOT {
+                    u.round(0, 0, k, hot, (false, false));
+                }
+            }
+            let mut lazy_before = u.lazy_count();
+            for &(kind, a, b, flags) in &steps {
+                let hot = a % HOT;
+                let any = a % k;
+                let counted = flags & 1 != 0 && flags & 6 == 0;
+                match kind {
+                    0..=2 => u.round(b % LOCKS, b, 8 + 8 * usize::from(flags), hot, (counted, flags == 3)),
+                    3 | 4 => u.sync(hot, b % LOCKS, (counted, flags == 3)),
+                    5 => u.sync(any, b % LOCKS, (false, counted)),
+                    6 => u.write(if flags & 2 == 0 { hot } else { any }, b % VARS, counted),
+                    7 => u.read(hot, b % VARS, counted),
+                    8 => u.join_thread(hot, b % k, counted),
+                    _ => {
+                        // Force a materialization (a clock leaves the
+                        // lazy star) and check the tree.
+                        let c = match b % 3 {
+                            0 => &mut u.threads[any],
+                            1 => &mut u.locks[b % LOCKS],
+                            _ => &mut u.vars[b % VARS],
+                        };
+                        if c.star_aclk.is_some() {
+                            u.left_lazy += 1;
+                        }
+                        c.materialize();
+                        prop_assert!(c.star_aclk.is_none());
+                        prop_assert_eq!(c.check_invariants(), Ok(()));
+                    }
+                }
+                let lazy_now = u.lazy_count();
+                if lazy_now > lazy_before {
+                    u.went_lazy += lazy_now - lazy_before;
+                }
+                lazy_before = lazy_now;
+                for (c, shadow) in [
+                    (&u.threads[hot], &u.shadow_threads[hot]),
+                    (&u.threads[any], &u.shadow_threads[any]),
+                    (&u.locks[b % LOCKS], &u.shadow_locks[b % LOCKS]),
+                    (&u.vars[b % VARS], &u.shadow_vars[b % VARS]),
+                ] {
+                    prop_assert_eq!(c.vector_time(), shadow.vector_time());
+                }
+            }
+            for (c, shadow) in u.all() {
+                prop_assert_eq!(c.vector_time(), shadow.vector_time());
+                let mut m = c.clone();
+                m.materialize();
+                prop_assert_eq!(m.check_invariants(), Ok(()));
+                prop_assert_eq!(m.to_string(), c.to_string());
+            }
+            prop_assert!(u.went_lazy > 0, "no clock entered the lazy star");
+            prop_assert!(u.left_lazy > 0, "no lazy star was materialized");
+            prop_assert!(
+                u.threads[..HOT].iter().any(|c| c.dense_ops >= super::super::DENSE_PROBE_PERIOD),
+                "no hot thread reached a surgical probe"
+            );
+        }
+    }
+}

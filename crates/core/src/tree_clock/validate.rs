@@ -46,10 +46,21 @@ impl TreeClock {
     ///    and every attachment clock is at most the parent's clock;
     /// 6. absent slots carry no stale time.
     ///
+    /// A lazily flat clock (see the module docs) is checked as the star
+    /// it represents: its materialized form must pass.
+    ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
+        if self.star_aclk.is_some() {
+            if self.root as usize >= self.clks.len() {
+                return Err(InvariantViolation::new("lazy star with an out-of-bounds root"));
+            }
+            let mut materialized = self.clone();
+            materialized.materialize();
+            return materialized.check_invariants();
+        }
         let present_count = self.nodes.iter().filter(|s| s.present()).count();
         let Some(root) = self.root_idx() else {
             if present_count != 0 {
