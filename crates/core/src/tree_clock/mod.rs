@@ -24,27 +24,33 @@
 //! # The lazy star (timed dense regime)
 //!
 //! The instrumented operations (`*_counted`) always run Algorithm 2
-//! verbatim. The timed operations switch to a *dense regime* once
-//! recent operations kept moving a sizable share of the arena (see
-//! [`note_density`](TreeClock::note_density)); there a surgical walk's
-//! pointer chasing loses to a flat array sweep. A dense operation
-//! touches only the times array and records the resulting shape as an
-//! implicit **star**: the root is unchanged, every other thread with a
-//! nonzero time hangs directly under it in ascending index order, and
-//! all children share one attachment clock, `star_aclk`. The link arena
-//! is left stale. Attaching every child at the root's time of the flat
-//! operation is sound for both monotonicity principles: a later joiner
-//! that already knows that root time transitively knows everything the
-//! root knew then, including every child's value (the argument behind
-//! the paper's Algorithm 2 attaching a joined subtree at the current
-//! root time).
+//! verbatim, so every work figure (`OpStats`, Theorem 1) measures the
+//! paper's algorithm. The timed operations have a *dense regime* for
+//! when operations keep moving a sizable share of the arena — there a
+//! surgical walk's pointer chasing loses to a flat array sweep. A dense
+//! join is a branchless pointwise maximum over the times array that
+//! records the resulting shape as an implicit **star**: the root is
+//! unchanged, every other thread with a nonzero time hangs directly
+//! under it in ascending index order, and all children share one
+//! attachment clock, `star_aclk` (the root's time at the join). The
+//! link arena is left stale. Attaching every child at the root's
+//! current time is sound for both monotonicity principles: a later
+//! joiner that already knows that root time transitively knows
+//! everything the root knew then, including every child's value (the
+//! argument behind Algorithm 2 hanging a joined subtree at the current
+//! root time). What the star gives up is granularity, which is
+//! worthless when most entries change on every operation anyway.
 //!
-//! The star is materialized into links only when something needs them:
-//! a surgical operation on the clock itself (a periodic density probe,
-//! a workload turning sparse, or any counted operation), a counted
-//! clone, or the lazy star is replaced wholesale. Reading a lazily flat
-//! clock never materializes it: a sparse destination walks the implicit
-//! star surgically (its children are the nonzero entries, and one
+//! A timed join takes the flat path when its clock is in dense mode
+//! (three dense surgical joins or copies in a row, re-probed
+//! surgically every 256 operations), or when a surgical join gathered a
+//! dense share of at least 32 entries and the clock is already lazily
+//! flat or its previous join was dense too. The star is materialized
+//! into links only when something needs them: a surgical operation on
+//! the clock itself (a probe, a workload turning sparse, any counted
+//! operation) or a counted clone. Reading a lazily flat clock never
+//! materializes it: a sparse destination walks the implicit star
+//! surgically (its children are the nonzero entries, and one
 //! `star_aclk` comparison makes the indirect-monotonicity cut), and the
 //! inspection APIs ([`node`](TreeClock::node),
 //! [`children`](TreeClock::children), `Display`,
@@ -52,12 +58,15 @@
 //! implicit star exactly as its materialized form.
 //!
 //! **Copies follow their source.** A timed monotone copy from a lazily
-//! flat source that would have to walk the whole star is a times-array
-//! copy that adopts the source's star (the copy-observes-on-source rule
-//! of the hybrid backend: a lock's clock mirrors its publishing
-//! thread's regime). A copy the star's cut makes O(1) stays surgical,
-//! and joins from a lazily flat source into a sparse destination stay
-//! surgical, so flatness does not spread into sparse clocks.
+//! flat source is a times-array copy that adopts the source's star —
+//! unless the star's cut makes the surgical copy O(1) on a materialized
+//! destination (the destination already knows the source root at the
+//! star's time). This is the hybrid backend's copy-observes-on-source
+//! rule: a lock's clock mirrors its publishing thread's regime. A copy
+//! from a materialized source into a lazily flat destination replicates
+//! the source's two arrays. Joins from a lazily flat source into a
+//! sparse destination stay surgical, so flatness does not spread into
+//! sparse clocks.
 
 mod copy;
 mod display;

@@ -560,7 +560,11 @@ fn lazy_star_inspects_and_displays_like_its_materialized_form() {
     assert_eq!(lazy.root_tid(), eager.root_tid());
     for i in 0..14 {
         assert_eq!(lazy.node(t(i)), eager.node(t(i)), "node t{i}");
-        assert_eq!(lazy.children(t(i)), eager.children(t(i)), "children of t{i}");
+        assert_eq!(
+            lazy.children(t(i)),
+            eager.children(t(i)),
+            "children of t{i}"
+        );
     }
     assert_eq!(lazy.check_invariants(), Ok(()));
     assert_eq!(eager.check_invariants(), Ok(()));

@@ -55,7 +55,9 @@ impl TreeClock {
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         if self.star_aclk.is_some() {
             if self.root as usize >= self.clks.len() {
-                return Err(InvariantViolation::new("lazy star with an out-of-bounds root"));
+                return Err(InvariantViolation::new(
+                    "lazy star with an out-of-bounds root",
+                ));
             }
             let mut materialized = self.clone();
             materialized.materialize();
