@@ -1315,7 +1315,10 @@ mod tests {
         // business, our own is a death sentence.
         let mut zombie = NodeCore::new(config(3, 0));
         zombie.peer_msg(ClusterMsg::Evicted { node: 2 });
-        assert!(!zombie.drain().iter().any(|o| matches!(o, Output::Shutdown)));
+        assert!(!zombie
+            .drain()
+            .iter()
+            .any(|o| matches!(o, Output::Shutdown)));
         zombie.peer_msg(ClusterMsg::Evicted { node: 0 });
         assert!(zombie.drain().iter().any(|o| matches!(o, Output::Shutdown)));
         assert_eq!(

@@ -107,11 +107,11 @@ impl TreeClock {
         // clock shows the destination already knew the rest of the
         // siblings. That is value-correct, but when the destination's
         // old root has not progressed and sits past such a cut it is
-        // never reached and cannot be repositioned. Star-materialized
-        // sources (a flat representation lifted to a tree attaches
-        // every child with aclk 0) make this reachable in practice:
-        // fall back to a full replica, which is always a valid
-        // monotone copy.
+        // never reached and cannot be repositioned. Star-shaped
+        // sources (every child shares one attachment clock, so the
+        // first known child cuts the whole list) make this reachable in
+        // practice: fall back to a full replica, which is always a
+        // valid monotone copy.
         if z != zp && !found_old_root {
             self.gather.clear();
             let clone_stats = self.clone_structure_from::<COUNT>(other);
@@ -133,12 +133,6 @@ impl TreeClock {
             // The clone's own traversal reuses the scratch stack; clear
             // it first so the copy walk starts fresh.
             self.gather.clear();
-            if !COUNT && moved >= super::join::FLAT_FINISH_MIN_MOVED {
-                self.clks.clone_from(&other.clks);
-                self.root = zp;
-                self.star_aclk = Some(other.clks[zp as usize]);
-                return stats;
-            }
             let clone_stats = self.clone_structure_from::<COUNT>(other);
             stats += clone_stats;
             return stats;

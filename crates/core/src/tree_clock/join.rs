@@ -50,7 +50,7 @@ pub(crate) fn time_at(clks: &[LocalTime], idx: u32) -> LocalTime {
 /// flat instead of re-linking them: below this, the surgical re-link is
 /// cheap in absolute terms and keeps the tree's granularity (small
 /// clocks, such as the paper's worked examples, stay exact trees).
-pub(crate) const FLAT_FINISH_MIN_MOVED: usize = 32;
+const FLAT_FINISH_MIN_MOVED: usize = 32;
 
 impl TreeClock {
     /// Returns both the join's result statistics and (for the uncounted
