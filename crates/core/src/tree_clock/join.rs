@@ -117,7 +117,7 @@ impl TreeClock {
                 && moved >= FLAT_FINISH_MIN_MOVED
                 && (self.star_aclk.is_some() || self.dense_streak >= 2)
             {
-                self.flat_join::<false>(&other.clks, z);
+                self.finish_flat(&other.clks, z);
                 return stats;
             }
         }
@@ -168,6 +168,15 @@ impl TreeClock {
         self.star_aclk = Some(self.clks[z as usize]);
         debug_assert_eq!(self.check_invariants(), Ok(()));
         changed
+    }
+
+    /// [`flat_join`](Self::flat_join) as the out-of-line finish of a
+    /// surgical join that turned out dense (kept cold so the sparse
+    /// path's code stays tight).
+    #[cold]
+    #[inline(never)]
+    fn finish_flat(&mut self, times: &[LocalTime], z: u32) {
+        self.flat_join::<false>(times, z);
     }
 
     /// Builds a tree from a flat times array: the values become
