@@ -117,7 +117,7 @@ impl TreeClock {
                 && moved >= FLAT_FINISH_MIN_MOVED
                 && (self.star_aclk.is_some() || self.dense_streak >= 2)
             {
-                self.finish_flat(&other.clks, z);
+                self.flat_join::<false>(&other.clks, z);
                 return stats;
             }
         }
@@ -149,7 +149,6 @@ impl TreeClock {
     /// With `COUNT_CHANGED`, returns the number of entries whose value
     /// changed (the hybrid clock's density observation and exact
     /// `VTWork` contribution); otherwise returns 0.
-    #[inline(never)]
     pub(crate) fn flat_join<const COUNT_CHANGED: bool>(
         &mut self,
         times: &[LocalTime],
@@ -168,15 +167,6 @@ impl TreeClock {
         self.star_aclk = Some(self.clks[z as usize]);
         debug_assert_eq!(self.check_invariants(), Ok(()));
         changed
-    }
-
-    /// [`flat_join`](Self::flat_join) as the out-of-line finish of a
-    /// surgical join that turned out dense (kept cold so the sparse
-    /// path's code stays tight).
-    #[cold]
-    #[inline(never)]
-    fn finish_flat(&mut self, times: &[LocalTime], z: u32) {
-        self.flat_join::<false>(times, z);
     }
 
     /// Builds a tree from a flat times array: the values become
@@ -215,7 +205,6 @@ impl TreeClock {
     /// Examines exactly the entries the pointer walk over the
     /// materialized star examines, so the counted figures are those of
     /// Algorithm 2.
-    #[inline(never)]
     pub(crate) fn gather_star<const COUNT: bool>(
         self_clks: &[LocalTime],
         other: &TreeClock,
@@ -228,46 +217,23 @@ impl TreeClock {
         let aclk = other.star_aclk.expect("gather_star needs a lazy star");
         let known = time_at(self_clks, zp);
         let mut found_old_root = old_root == zp;
-        if aclk <= known {
-            // Indirect monotonicity: the scan stops at the first child
-            // that has not progressed.
-            for (i, &o) in o_clks.iter().enumerate() {
-                let i = i as u32;
-                if o == 0 || i == zp {
-                    continue;
-                }
-                if COUNT {
-                    stats.examined += 1;
-                }
-                let progressed = time_at(self_clks, i) < o;
-                if progressed || i == old_root {
-                    gathered.push(i);
-                    found_old_root |= i == old_root;
-                }
-                if !progressed {
-                    break;
-                }
+        for (i, &o) in o_clks.iter().enumerate() {
+            let i = i as u32;
+            if o == 0 || i == zp {
+                continue;
             }
-        } else {
-            // No cut: every child is examined. A branchless compaction
-            // of the progressed indices (and `old_root`).
-            let base = gathered.len();
-            gathered.resize(base + o_clks.len(), 0);
-            let out = &mut gathered[base..];
-            let mut n = 0;
-            for (i, &o) in o_clks.iter().enumerate() {
-                let i = i as u32;
-                let member = (o != 0) & (i != zp);
-                if COUNT {
-                    stats.examined += u64::from(member);
-                }
-                let keep = member & ((time_at(self_clks, i) < o) | (i == old_root));
-                out[n] = i;
-                n += usize::from(keep);
+            if COUNT {
+                stats.examined += 1;
             }
-            gathered.truncate(base + n);
-            if old_root != NIL && old_root != zp {
-                found_old_root |= time_at(o_clks, old_root) != 0;
+            let progressed = time_at(self_clks, i) < o;
+            if progressed || i == old_root {
+                gathered.push(i);
+                found_old_root |= i == old_root;
+            }
+            if !progressed && aclk <= known {
+                // Indirect monotonicity: every child shares `aclk`, so
+                // the first known child cuts the whole list.
+                break;
             }
         }
         gathered.push(zp);
