@@ -109,13 +109,17 @@ impl TreeClock {
         if !COUNT {
             stats.moved = moved as u64;
             // A dense outcome finishes flat — the pointwise maximum costs
-            // less than re-linking a sizable share of the arena — once
-            // the clock is already lazily flat or its previous join was
-            // dense too. An isolated dense join in a sparse regime stays
-            // surgical, so flatness does not spread into sparse clocks.
+            // less than re-linking a sizable share of the arena — when
+            // the clock is already lazily flat, its previous join was
+            // dense too, or this join moved half the arena (a fresh
+            // clock learning everything). An isolated, merely dense join
+            // in a sparse regime stays surgical, so flatness does not
+            // spread into sparse clocks.
             if self.note_density(moved, self.clks.len().max(other.clks.len()))
                 && moved >= FLAT_FINISH_MIN_MOVED
-                && (self.star_aclk.is_some() || self.dense_streak >= 2)
+                && (self.star_aclk.is_some()
+                    || self.dense_streak >= 2
+                    || moved * 2 >= self.clks.len())
             {
                 self.flat_join::<false>(&other.clks, z);
                 return stats;

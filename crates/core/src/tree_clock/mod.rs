@@ -45,7 +45,8 @@
 //! (three dense surgical joins or copies in a row, re-probed
 //! surgically every 256 operations), or when a surgical join gathered a
 //! dense share of at least 32 entries and the clock is already lazily
-//! flat or its previous join was dense too. The star is materialized
+//! flat, its previous join was dense too, or the join moved half the
+//! arena. The star is materialized
 //! into links only when something needs them: a surgical operation on
 //! the clock itself (a probe, a workload turning sparse, any counted
 //! operation) or a counted clone. Reading a lazily flat clock never
