@@ -248,7 +248,7 @@ impl TreeClock {
     /// The `(aclk, parent)` links of present node `idx`, read through
     /// the implicit star while lazily flat.
     #[inline]
-    pub(crate) fn link_of(&self, idx: u32) -> (LocalTime, u32) {
+    fn link_of(&self, idx: u32) -> (LocalTime, u32) {
         match self.star_aclk {
             Some(_) if idx == self.root => (0, NIL),
             Some(aclk) => (aclk, self.root),
