@@ -690,7 +690,11 @@ impl Checkpoint {
                 vars: engine_vars,
             },
             vars,
-            report: RaceReport::from_parts(races, total, checks),
+            report: RaceReport {
+                races,
+                total,
+                checks,
+            },
             validator,
             interner,
             identity,

@@ -12,14 +12,9 @@ use tc_trace::wire;
 use tc_trace::{Event, Op, ThreadId, VarId};
 
 fn start() -> Server {
-    start_parallel(0)
-}
-
-fn start_parallel(epoch_workers: usize) -> Server {
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        parallel: epoch_workers,
         telemetry: true,
         auth: None,
     })
@@ -265,9 +260,8 @@ fn one_connection_fans_frames_into_many_sessions() {
 }
 
 /// A dense-id frame of `reps` rounds over four independent racy pairs
-/// (threads `2i`/`2i+1` on variable `i`) — four conflict-free epochs,
-/// so a parallel-enabled session takes the epoch-parallel path.
-fn epoch_frame(reps: usize) -> Vec<Event> {
+/// (threads `2i`/`2i+1` on variable `i`).
+fn pairs_frame(reps: usize) -> Vec<Event> {
     let mut events = Vec::with_capacity(reps * 8);
     for _ in 0..reps {
         for pair in 0..4u32 {
@@ -284,47 +278,31 @@ fn epoch_frame(reps: usize) -> Vec<Event> {
     events
 }
 
-/// Starts a server with `epoch_workers` parallel workers, streams
-/// `frames` into one `hb tc` session, and returns the full `races`
-/// reply plus the `stats` line.
-fn drive_frames(epoch_workers: usize, frames: &[Vec<Event>]) -> (Vec<String>, String) {
-    let server = start_parallel(epoch_workers);
+#[test]
+fn served_binary_frames_match_the_batch_detector() {
+    use tc_analysis::HbRaceDetector;
+    use tc_core::TreeClock;
+
+    // Four 256-event frames into one `hb tc` session: the `races`
+    // reply must list exactly the batch detector's races, in order.
+    let frames: Vec<Vec<Event>> = (0..4).map(|_| pairs_frame(32)).collect();
+    let server = start();
     let mut client = Client::open(server.local_addr(), "hb tc").unwrap();
     let id = client.session();
-    for frame in frames {
+    for frame in &frames {
         client.send_frame(id, frame).unwrap();
     }
     let races = client.request("races").unwrap();
-    let stats = client.request("stats").unwrap();
     client.request("close").unwrap();
     server.shutdown();
     server.join();
-    (races, stats.last().unwrap().clone())
-}
 
-#[test]
-fn parallel_servers_agree_with_sequential_across_worker_counts() {
-    // The worker-count matrix the CI job sweeps: the epoch-parallel
-    // path must produce byte-identical race replies at any pool size,
-    // including the degenerate 1-worker pool.
-    let frames: Vec<Vec<Event>> = (0..4).map(|_| epoch_frame(32)).collect();
-    let (reference_races, reference_stats) = drive_frames(0, &frames);
-    assert!(
-        reference_stats.contains("parallel_frames=0"),
-        "{reference_stats}"
-    );
-    for epoch_workers in [1, 2, 8] {
-        let (races, stats) = drive_frames(epoch_workers, &frames);
-        assert_eq!(
-            races, reference_races,
-            "race replies diverged at {epoch_workers} epoch worker(s)"
-        );
-        assert!(
-            stats.contains(&format!("parallel_frames={}", frames.len())),
-            "{epoch_workers} worker(s): every frame has 4 epochs and \
-             256 events, all should go parallel — {stats}"
-        );
-    }
+    let trace: tc_trace::Trace = frames.concat().into_iter().collect();
+    let batch = HbRaceDetector::<TreeClock>::new(&trace).run(&trace);
+    let mut expected: Vec<String> = batch.races.iter().map(|r| format!("race {r}")).collect();
+    expected.push(format!("ok {} {}", batch.races.len(), batch.total));
+    assert!(batch.total > 0, "the pairs race on every round");
+    assert_eq!(races, expected);
 }
 
 #[test]
@@ -381,7 +359,7 @@ fn use_rebinding_across_connections_keeps_the_poll_cursor() {
 
 #[test]
 fn multi_session_frames_and_stats_all_aggregate_in_one_round_trip() {
-    let server = start_parallel(2);
+    let server = start();
     let addr = server.local_addr();
 
     // An empty connection aggregates to zero without opening anything.
